@@ -16,13 +16,15 @@
 # coalescing mhpcd and validates the resulting mhpc-load-report/v1,
 # and the resume smoke run that SIGKILLs a checkpointing mhpc sweep
 # mid-flight and requires the rerun to restore the committed progress
-# with byte-identical output across -j and -intra.
+# with byte-identical output across -j and -intra, and the benchmark
+# build gate that compiles e2ebench and its layer probes the way
+# e2ebench/run.sh does.
 GO ?= go
 TMP ?= /tmp/mhpc-smoke
 
-.PHONY: check vet build test race bench bench-smoke bench-snapshot bench-diff telemetry-smoke faults-smoke pdes-smoke serve-smoke stream-smoke store-smoke load-smoke resume-smoke
+.PHONY: check vet build test race bench bench-smoke bench-snapshot bench-diff telemetry-smoke faults-smoke pdes-smoke serve-smoke stream-smoke store-smoke load-smoke resume-smoke e2e-build
 
-check: vet build test race telemetry-smoke faults-smoke pdes-smoke bench-smoke bench-diff serve-smoke stream-smoke store-smoke load-smoke resume-smoke
+check: vet build test race telemetry-smoke faults-smoke pdes-smoke bench-smoke bench-diff serve-smoke stream-smoke store-smoke load-smoke resume-smoke e2e-build
 
 vet:
 	$(GO) vet ./...
@@ -156,3 +158,17 @@ load-smoke:
 # committed-progress-is-never-recomputed proof against the real binary.
 resume-smoke:
 	MHPC_RESUME_SMOKE=1 $(GO) test -race -run TestResumeSmoke -count=1 ./cmd/mhpc
+
+# Benchmark build gate: build mhpc, mhpcd, e2ebench and the layer
+# probes with the settings e2ebench/run.sh uses (local toolchain, no
+# module proxy, read-only go.mod) into a temp dir. The e2ebench module
+# declares go 1.22 and builds this module through a replace directive,
+# so a raised go line here, or a probe calling an API that changed,
+# fails this gate before it can fail a benchmark run.
+E2E_ENV = GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly
+
+e2e-build:
+	rm -rf $(TMP)-e2e && mkdir -p $(TMP)-e2e
+	$(E2E_ENV) $(GO) build -o $(TMP)-e2e/ ./cmd/mhpc ./cmd/mhpcd
+	cd e2ebench && $(E2E_ENV) $(GO) build -o $(TMP)-e2e/e2ebench . && \
+		$(E2E_ENV) $(GO) build -o $(TMP)-e2e/probe ./probe

@@ -307,3 +307,31 @@ func waitGoroutines(t *testing.T, base int) {
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutines leaked: %d > base %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
+
+// A cancelled run can be the first to ask for a cached value (fig6's
+// single-node HPL efficiency, green500-context's quick headline). Its
+// abort unwinds through the computation and must not be cached: every
+// later run, cancelled or not, would re-raise it.
+func TestCachedValueDoesNotCacheAbort(t *testing.T) {
+	calls := 0
+	get := cachedValue(func() int {
+		calls++
+		if calls == 1 {
+			panic(&sim.AbortError{Err: context.Canceled})
+		}
+		return 42
+	})
+	if ab := func() (ab any) {
+		defer func() { ab = recover() }()
+		get()
+		return nil
+	}(); ab == nil {
+		t.Fatal("first call did not panic")
+	}
+	if v := get(); v != 42 {
+		t.Fatalf("after an aborted first call got %d, want 42", v)
+	}
+	if v := get(); v != 42 || calls != 2 {
+		t.Fatalf("got %d after %d computations, want 42 after 2", v, calls)
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sync"
-
 	"mobilehpc/internal/apps/hpl"
 	"mobilehpc/internal/apps/hydro"
 	"mobilehpc/internal/apps/md"
@@ -150,7 +148,7 @@ func runFig6(o Options) *Table {
 
 // hplEff1 returns the single-node HPL efficiency used to normalise the
 // weak scaling column (computed once on first use).
-var hplEff1 = sync.OnceValue(func() float64 {
+var hplEff1 = cachedValue(func() float64 {
 	r := hpl.Run(cluster.Tibidabo(1), 1, hpl.Config{N: 8192, RealN: 64})
 	return r.Efficiency
 })

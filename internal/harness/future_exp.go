@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"mobilehpc/internal/accel"
@@ -154,27 +153,26 @@ func measuredMPW() float64 {
 			ob.Counter("cache.quickhpl.misses").Add(1)
 		}
 	}
-	r, _ := quickHPL()
-	return r
+	return quickHPL()
 }
 
 // quickHPLComputed reports whether the quickHPL once-cache has been
 // filled — telemetry only, never consulted for control flow.
 var quickHPLComputed atomic.Bool
 
-// quickHPL caches the quick green500 headline. sync.OnceValues rather
-// than a plain package var: with RunAll on the pool, green500-context
-// and its neighbours may evaluate concurrently.
-var quickHPL = sync.OnceValues(func() (float64, error) {
-	defer quickHPLComputed.Store(true)
+// quickHPL caches the quick green500 headline (0 if it does not parse).
+// A cache rather than a plain package var: with RunAll on the pool,
+// green500-context and its neighbours may evaluate concurrently.
+var quickHPL = cachedValue(func() float64 {
 	tab := runGreen500(Options{Quick: true})
+	quickHPLComputed.Store(true)
 	// last row, last column
 	row := tab.Rows[len(tab.Rows)-1]
 	var v float64
 	if _, err := fmt.Sscanf(row[len(row)-1], "%f", &v); err != nil {
-		return 0, err
+		return 0
 	}
-	return v, nil
+	return v
 })
 
 func runStability(o Options) *Table {

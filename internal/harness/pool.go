@@ -315,3 +315,25 @@ func taskSeedQuiet(parts ...string) uint64 {
 func TaskRNG(parts ...string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(TaskSeed(parts...))))
 }
+
+// cachedValue returns a function that computes f on the first call
+// that completes and returns that value from then on. Unlike
+// sync.OnceValue it caches no panic: when the run that first asks is
+// cancelled, its abort unwinds through f and the next caller, perhaps
+// from another run, computes afresh instead of inheriting the abort.
+// Callers are serialised while f runs.
+func cachedValue[T any](f func() T) func() T {
+	var (
+		mu   sync.Mutex
+		v    T
+		done bool
+	)
+	return func() T {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			v, done = f(), true
+		}
+		return v
+	}
+}

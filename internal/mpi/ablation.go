@@ -10,7 +10,7 @@ package mpi
 func (r *Rank) BcastLinear(root int, data any, bytes int) any {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if n == 1 {
 		return data
 	}
@@ -33,7 +33,7 @@ func (r *Rank) BcastLinear(root int, data any, bytes int) any {
 func (r *Rank) AllreduceRingF64(v float64, op func(a, b float64) float64) float64 {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if n == 1 {
 		return v
 	}

@@ -36,12 +36,38 @@ func (r *Rank) collTag(sub int) int {
 	return collBase + r.collSeq*4096 + sub
 }
 
+// nextColl starts the next collective invocation. Messages of finished
+// invocations that this rank never received can no longer match, since
+// collective receives name only the current invocation's tags, so they
+// are dropped here (and on arrival, see deliver) instead of staying
+// pending to the end of the run, where every receive would scan past
+// them. Ranks that disagree on a collective's root leave such
+// messages: the 2-D HPL grid broadcasts along process rows and columns
+// over the whole communicator, and left hundreds per rank.
+func (r *Rank) nextColl() {
+	r.collSeq++
+	keep := r.pending[:0]
+	for _, m := range r.pending {
+		if !r.collDone(m.Tag) {
+			keep = append(keep, m)
+		}
+	}
+	clear(r.pending[len(keep):])
+	r.pending = keep
+}
+
+// collDone reports whether tag belongs to a collective invocation this
+// rank has finished.
+func (r *Rank) collDone(tag int) bool {
+	return tag >= collBase && (tag-collBase)/4096 < r.collSeq
+}
+
 // Barrier synchronises all ranks with the dissemination algorithm:
 // ceil(log2 n) rounds of paired zero-byte messages.
 func (r *Rank) Barrier() {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if n == 1 {
 		return
 	}
@@ -58,7 +84,7 @@ func (r *Rank) Barrier() {
 func (r *Rank) Bcast(root int, data any, bytes int) any {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if n == 1 {
 		return data
 	}
@@ -87,7 +113,7 @@ func (r *Rank) Bcast(root int, data any, bytes int) any {
 func (r *Rank) ReduceF64(root int, v float64, op func(a, b float64) float64) float64 {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if n == 1 {
 		return v
 	}
@@ -121,7 +147,7 @@ func (r *Rank) AllreduceF64(v float64, op func(a, b float64) float64) float64 {
 func (r *Rank) ReduceVecF64(root int, v []float64, op func(a, b float64) float64) []float64 {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	acc := append([]float64(nil), v...)
 	if n == 1 {
 		return acc
@@ -164,7 +190,7 @@ func (r *Rank) AllreduceVecF64(v []float64, op func(a, b float64) float64) []flo
 func (r *Rank) Gather(root int, data any, bytes int) []any {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if r.id != root {
 		r.Send(root, r.collTag(0), data, bytes)
 		return nil
@@ -183,7 +209,7 @@ func (r *Rank) Gather(root int, data any, bytes int) []any {
 func (r *Rank) Scatter(root int, parts []any, bytesEach int) any {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if r.id == root {
 		if len(parts) != n {
 			panic(fmt.Sprintf("mpi: scatter needs %d parts, got %d", n, len(parts)))
@@ -203,7 +229,7 @@ func (r *Rank) Scatter(root int, parts []any, bytesEach int) any {
 func (r *Rank) Alltoall(parts []any, bytesEach int) []any {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	if len(parts) != n {
 		panic(fmt.Sprintf("mpi: alltoall needs %d parts, got %d", n, len(parts)))
 	}
@@ -236,7 +262,7 @@ func (r *Rank) Alltoall(parts []any, bytesEach int) []any {
 func (r *Rank) Allgather(data any, bytes int) []any {
 	defer r.beginColl()()
 	n := r.Size()
-	r.collSeq++
+	r.nextColl()
 	all := make([]any, n)
 	all[r.id] = data
 	if n == 1 {

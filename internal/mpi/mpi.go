@@ -357,8 +357,13 @@ func (c *Comm) CommMatrix() [][]int64 {
 // deliver places a message in dst's pending set and hands it to a
 // matching waiter, if any. Runs in the sender's process context; a
 // woken receiver resumes through the event queue (the waiter's deliver
-// posts its wake) so ordering is deterministic.
+// posts its wake) so ordering is deterministic. A message for a
+// collective the rank has finished is dropped: nothing can receive it
+// (see nextColl).
 func (r *Rank) deliver(m *Msg) {
+	if r.collDone(m.Tag) {
+		return
+	}
 	for i, w := range r.waiting {
 		if (w.src == AnySource || w.src == m.Src) && (w.tag == AnyTag || w.tag == m.Tag) {
 			r.waiting = append(r.waiting[:i], r.waiting[i+1:]...)

@@ -416,3 +416,25 @@ func TestCommMatrixIncludesCollectives(t *testing.T) {
 		t.Errorf("matrix total %d != BytesSent %d", total, comm.BytesSent)
 	}
 }
+
+// Ranks that disagree on a broadcast's root, as the 2-D HPL grid's row
+// and column broadcasts over the whole communicator do, send messages
+// that nobody receives. Once the receiver has moved past that
+// collective they can never match, so none may stay pending.
+func TestFinishedCollectiveMessagesDropped(t *testing.T) {
+	const p, q, steps = 4, 4, 12
+	comm, _ := RunStats(testCluster(p*q), p*q, func(r *Rank) {
+		row, col := r.ID()/q, r.ID()%q
+		for k := 0; k < steps; k++ {
+			r.Bcast(row*q+k%q, nil, 4096)
+			r.Bcast(k%p*q+col, nil, 4096)
+			r.Compute(1e-4 * float64(r.ID()%3))
+		}
+		r.Barrier()
+	})
+	for _, r := range comm.ranks {
+		if len(r.pending) != 0 {
+			t.Errorf("rank %d holds %d unmatched messages after the run", r.id, len(r.pending))
+		}
+	}
+}

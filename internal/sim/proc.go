@@ -2,16 +2,17 @@ package sim
 
 import "fmt"
 
-// Proc is a blocking simulation process backed by a goroutine. A process
-// may suspend itself (Wait, Queue.Pop, Hold) and be resumed later by the
-// engine; while it runs, the engine dispatch loop is parked, so exactly
-// one goroutine is ever active and the simulation stays deterministic.
+// Proc is a blocking simulation process run as a coroutine (see pull).
+// A process may suspend itself (Wait, Queue.Pop, Hold) and be resumed
+// later by the engine; while it runs, the engine dispatch loop is
+// suspended in the resume call, so exactly one goroutine is ever active
+// and the simulation stays deterministic.
 type Proc struct {
 	eng      *Engine
 	name     string
-	gid      int64         // cached goroutine id, set once at first resume
-	resume   chan struct{} // engine -> proc: run
-	parked   chan struct{} // proc -> engine: parked or done
+	gid      int64                   // cached goroutine id, set once at first resume
+	next     func() (struct{}, bool) // engine -> proc: run until parked or done
+	yield    func(struct{}) bool     // proc -> engine: parked
 	dead     bool
 	aborting bool // set by Engine.terminate: next resume must unwind, not run
 	liveIdx  int  // position in eng.live while alive
@@ -40,18 +41,16 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // Go spawns fn as a simulation process starting at the current virtual
 // time. fn runs when the engine dispatches its start event.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.wake = func() { e.switchTo(p) }
 	e.procs++
 	p.liveIdx = len(e.live)
 	e.live = append(e.live, p)
-	go func() {
-		<-p.resume
+	// The coroutine is never stopped: a process always leaves through
+	// its body, even when terminated before its first resume, so the
+	// death defer below runs on every path.
+	p.next, _ = pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		// Control handed to this process for the first time: learn our
 		// goroutine id once; every later handoff reuses it.
 		p.gid = gid()
@@ -63,14 +62,13 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 			if r := recover(); r != nil {
 				p.panicV = r
 			}
-			p.parked <- struct{}{}
 		}()
 		if p.aborting {
 			// Terminated before ever running: unwind without calling fn.
 			panic(procAbort{})
 		}
 		fn(p)
-	}()
+	})
 	e.Schedule(0, p.wake)
 	return p
 }
@@ -81,8 +79,7 @@ func (e *Engine) switchTo(p *Proc) {
 	if p.dead {
 		panic(fmt.Sprintf("sim: resuming dead process %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 	e.owner.Store(e.loopGid) // control back in the dispatch loop
 	if p.panicV != nil {
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicV))
@@ -91,11 +88,10 @@ func (e *Engine) switchTo(p *Proc) {
 
 // park suspends the calling process until the engine resumes it. A
 // resume issued by Engine.terminate does not hand control back to the
-// process body: it panics procAbort so the goroutine unwinds (running
-// its defers) and exits — the teardown path of a cancelled run.
+// process body: it panics procAbort so the body unwinds (running its
+// defers) and returns — the teardown path of a cancelled run.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.eng.owner.Store(p.gid) // control handed back to this process
 	if p.aborting {
 		panic(procAbort{})
@@ -104,8 +100,8 @@ func (p *Proc) park() {
 
 // dropLive removes p from the engine's live list (O(1) swap-remove).
 // Called from the process's own death defer, which runs while the
-// engine goroutine is parked waiting on p.parked — so the list is
-// never mutated concurrently.
+// engine is suspended in p.next — so the list is never mutated
+// concurrently.
 func (e *Engine) dropLive(p *Proc) {
 	last := len(e.live) - 1
 	moved := e.live[last]
@@ -117,16 +113,15 @@ func (e *Engine) dropLive(p *Proc) {
 
 // terminate force-unwinds one parked (or not-yet-started) process:
 // resume it with the aborting mark set, which makes park (or the
-// spawn prologue) panic procAbort on the process goroutine; the death
-// defer then marks it dead, drops it from the live list, and signals
-// back. Any panic value the unwinding produced is discarded — the run
-// is being cancelled, and procAbort (or a secondary panic out of the
-// process's own defers) must not mask the *AbortError the caller is
-// about to raise.
+// spawn prologue) panic procAbort in the process body; the death defer
+// then marks it dead, drops it from the live list, and the body
+// returns. Any panic value the unwinding produced is discarded — the
+// run is being cancelled, and procAbort (or a secondary panic out of
+// the process's own defers) must not mask the *AbortError the caller
+// is about to raise.
 func (e *Engine) terminate(p *Proc) {
 	p.aborting = true
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 	e.owner.Store(e.loopGid) // control back in the dispatch loop
 }
 
