@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"mobilehpc/internal/core"
 )
 
 // parseJobs must accept positive integers and "auto", and reject —
@@ -67,6 +69,75 @@ func TestDefaultJobsSpec(t *testing.T) {
 	}
 	if _, err := parseJobs(defaultJobsSpec()); err == nil {
 		t.Error("garbage MHPC_PARALLEL must fail parseJobs")
+	}
+}
+
+// -intra is retired but still parsed: 1, its old default, is accepted
+// so existing invocations keep working, and every other value fails
+// the command before anything runs, with an error that points to -j.
+func TestRetiredIntra(t *testing.T) {
+	cases := []struct {
+		in      string
+		wantErr bool
+	}{
+		{"1", false},
+		{"2", true},
+		{"4", true},
+		{"auto", true},
+		{"0", true},
+		{"-1", true},
+		{"", true},
+		{"abc", true},
+		{" 1", true},
+	}
+	cmds := map[string]func([]string) error{"run": run, "all": all}
+	for _, c := range cases {
+		err := core.CheckIntra(c.in)
+		if !c.wantErr {
+			if err != nil {
+				t.Errorf("CheckIntra(%q) unexpected error: %v", c.in, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("CheckIntra(%q) accepted a retired value", c.in)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "removed") || !strings.Contains(msg, "-j") {
+			t.Errorf("CheckIntra(%q) error %q does not say the feature was removed and point to -j", c.in, msg)
+		}
+		for name, cmd := range cmds {
+			err := cmd([]string{"-quick", "-j", "1", "-intra", c.in, "table1"})
+			if err == nil || !strings.Contains(err.Error(), "-intra") {
+				t.Errorf("%s -intra %q: err = %v, want the -intra rejection", name, c.in, err)
+			}
+		}
+	}
+
+	// -intra 1 runs exactly like no -intra at all.
+	render := func(args ...string) string {
+		t.Helper()
+		f, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = f
+		err = run(args)
+		os.Stdout = stdout
+		if err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	with := render("-quick", "-j", "1", "-intra", "1", "table1")
+	without := render("-quick", "-j", "1", "table1")
+	if with == "" || with != without {
+		t.Errorf("run -intra 1 output differs from the default run:\n%s\nvs\n%s", with, without)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mhpcd [-addr :8080] [-j N] [-intra P] [-concurrency N] [-queue N]
+//	mhpcd [-addr :8080] [-j N] [-concurrency N] [-queue N]
 //	      [-timeout D] [-store-dir DIR] [-store-bytes N]
 //	      [-batch-window D] [-batch-max N] [-job-history N] [-drain D]
 //
@@ -71,16 +71,6 @@ import (
 	"mobilehpc/internal/sim"
 )
 
-// defaultIntraSpec is the textual -intra default: the MHPC_INTRA
-// environment variable when set (validated when the server starts),
-// else "1" — the sequential engine.
-func defaultIntraSpec() string {
-	if s, ok := os.LookupEnv("MHPC_INTRA"); ok {
-		return s
-	}
-	return "1"
-}
-
 func main() {
 	if err := serve(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mhpcd:", err)
@@ -88,14 +78,21 @@ func main() {
 	}
 }
 
-// serve parses flags, runs the server, and blocks until a clean
-// shutdown; the process exits 0 whenever the drain completed, even if
-// stragglers had to be aborted.
-func serve(args []string) error {
+// options is the parsed command line: the server configuration plus
+// the listen address and the shutdown grace period.
+type options struct {
+	cfg   serverConfig
+	addr  string
+	drain time.Duration
+}
+
+// parseFlags parses and validates the command line without starting
+// anything.
+func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("mhpcd", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	jobs := fs.String("j", "auto", "worker pool size per run (a positive integer, or 'auto' = one per CPU)")
-	intra := fs.String("intra", defaultIntraSpec(), "PDES partitions per simulation (a positive integer, or 'auto' = one per CPU)")
+	intra := fs.String("intra", "1", core.IntraUsage)
 	concurrency := fs.Int("concurrency", 2, "experiment runs executing at once")
 	queue := fs.Int("queue", 8, "additional runs allowed to wait for a slot (0 = reject when busy)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-run wall clock bound")
@@ -106,17 +103,14 @@ func serve(args []string) error {
 	jobHistory := fs.Int("job-history", 256, "finished job records kept for /job lookups")
 	drain := fs.Duration("drain", 10*time.Second, "grace period for in-flight runs on shutdown")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
 	j, err := core.ParseJobs(*jobs)
 	if err != nil {
-		return err
-	}
-	it, err := core.ParseIntra(*intra)
-	if err != nil {
-		return err
+		return options{}, err
 	}
 	if err := core.FirstError(
+		core.CheckIntra(*intra),
 		core.PositiveInt("concurrency", *concurrency),
 		core.NonNegativeInt("queue", *queue),
 		core.NonNegativeInt("store-bytes", int(*storeBytes)),
@@ -125,24 +119,38 @@ func serve(args []string) error {
 		core.PositiveFloat("timeout", timeout.Seconds()),
 		core.PositiveFloat("drain", drain.Seconds()),
 	); err != nil {
-		return err
+		return options{}, err
 	}
 	if *batchWindow < 0 {
-		return fmt.Errorf("invalid -batch-window %v: want a non-negative duration", *batchWindow)
+		return options{}, fmt.Errorf("invalid -batch-window %v: want a non-negative duration", *batchWindow)
 	}
+	return options{
+		cfg: serverConfig{
+			jobs:        j,
+			concurrency: *concurrency,
+			queue:       *queue,
+			timeout:     *timeout,
+			cacheBytes:  *storeBytes,
+			storeDir:    *storeDir,
+			jobHistory:  *jobHistory,
+			batchWindow: *batchWindow,
+			batchMax:    *batchMax,
+		},
+		addr:  *addr,
+		drain: *drain,
+	}, nil
+}
 
-	s, err := newServer(serverConfig{
-		jobs:        j,
-		intra:       it,
-		concurrency: *concurrency,
-		queue:       *queue,
-		timeout:     *timeout,
-		cacheBytes:  *storeBytes,
-		storeDir:    *storeDir,
-		jobHistory:  *jobHistory,
-		batchWindow: *batchWindow,
-		batchMax:    *batchMax,
-	})
+// serve parses flags, runs the server, and blocks until a clean
+// shutdown; the process exits 0 whenever the drain completed, even if
+// stragglers had to be aborted.
+func serve(args []string) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	cfg := o.cfg
+	s, err := newServer(cfg)
 	if err != nil {
 		return err
 	}
@@ -155,7 +163,7 @@ func serve(args []string) error {
 	sim.SetDefaultObserver(obs.NewSimObserver(s.col))
 	defer sim.SetDefaultObserver(nil)
 
-	srv := &http.Server{Addr: *addr, Handler: s.handler()}
+	srv := &http.Server{Addr: o.addr, Handler: s.handler()}
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -163,7 +171,7 @@ func serve(args []string) error {
 		}
 	}()
 	fmt.Fprintf(os.Stderr, "mhpcd: serving on %s (concurrency %d, queue %d, store %dB, batch-window %v, timeout %v)\n",
-		*addr, *concurrency, *queue, *storeBytes, *batchWindow, *timeout)
+		o.addr, cfg.concurrency, cfg.queue, cfg.cacheBytes, cfg.batchWindow, cfg.timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -178,7 +186,7 @@ func serve(args []string) error {
 	// period, then abort stragglers mid-simulation and close.
 	fmt.Fprintln(os.Stderr, "mhpcd: draining...")
 	s.beginDrain()
-	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	shCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
 		s.abortRuns()

@@ -90,11 +90,8 @@ func NewMesh(e int) *Mesh {
 func (m *Mesh) Points() int { return len(m.U) }
 
 // internalForce computes -K u for elements [elo, ehi) and accumulates
-// into acc (must be zeroed over the touched range by the caller), all
-// but the range's last DOF, 4*ehi: that one is shared with the element
-// after the range, so its force is returned for the caller to subtract
-// once that element's contribution is in.
-func (m *Mesh) internalForce(acc []float64, elo, ehi int) (last float64) {
+// into acc (must be zeroed over the touched range by the caller).
+func (m *Mesh) internalForce(acc []float64, elo, ehi int) {
 	jac := m.h / 2
 	for el := elo; el < ehi; el++ {
 		base := 4 * el
@@ -113,14 +110,9 @@ func (m *Mesh) internalForce(acc []float64, elo, ehi int) (last float64) {
 			for j := 0; j < 5; j++ {
 				f += gllW[j] * m.c2 * grad[j] * lagrangeDeriv[i][j]
 			}
-			if el == ehi-1 && i == 4 {
-				last = f
-				continue
-			}
 			acc[base+i] -= f
 		}
 	}
-	return last
 }
 
 // Energy returns the total (kinetic + strain) energy — conserved after
@@ -241,10 +233,6 @@ func RunWeighted(cl *cluster.Cluster, nodes int, cfg Config, weights []float64) 
 		bounds[i] = [2]int{i * cfg.RealElements / nodes, (i + 1) * cfg.RealElements / nodes}
 	}
 
-	// edge[i] is rank i's force on its last DOF, which the next rank
-	// shares: ranks on different partitions assemble concurrently, so
-	// they must not both write that slot.
-	edge := make([]float64, nodes)
 	var elapsed float64
 	var eInit float64
 	mpi.Run(cl, nodes, func(r *mpi.Rank) {
@@ -264,12 +252,10 @@ func RunWeighted(cl *cluster.Cluster, nodes int, cfg Config, weights []float64) 
 			// Phase 2: every rank assembles internal forces for its
 			// own elements; contributions to shared boundary DOFs
 			// accumulate from both sides, as in real SEM assembly.
-			// Each rank's last DOF goes through edge, added by rank 0
-			// below: the force buffer starts at zero and each boundary
-			// DOF gets exactly two contributions, so the sum has the
-			// same bits in either order.
+			// (The engine runs one rank at a time, so += on shared
+			// DOFs is ordered.)
 			if ehi > elo {
-				edge[me] = mesh.internalForce(force, elo, ehi)
+				mesh.internalForce(force, elo, ehi)
 			}
 			// Threads caps core usage; heterogeneous nodes each use at
 			// most their own core count.
@@ -306,11 +292,6 @@ func RunWeighted(cl *cluster.Cluster, nodes int, cfg Config, weights []float64) 
 			// was charged above). Host-side synchronisation only.
 			r.HostSync()
 			if me == 0 {
-				for i, b := range bounds {
-					if b[1] > b[0] {
-						force[4*b[1]] -= edge[i]
-					}
-				}
 				if step < cfg.SourceSteps {
 					src := 4*mesh.forceElem + mesh.forceNode
 					force[src] += mesh.sourceAmp *

@@ -117,10 +117,3 @@ func RunAllExperimentsParallel(w io.Writer, quick bool, jobs int) error {
 func RunAllExperimentsContext(ctx context.Context, w io.Writer, quick bool, jobs int) error {
 	return harness.RunAllContext(ctx, w, harness.Options{Quick: quick, Jobs: jobs})
 }
-
-// RunAllExperimentsOpts is RunAllExperimentsContext taking the full
-// options struct, for callers that also set the intra-run partition
-// count. Output is byte-identical for every Options value.
-func RunAllExperimentsOpts(ctx context.Context, w io.Writer, o harness.Options) error {
-	return harness.RunAllContext(ctx, w, o)
-}

@@ -30,20 +30,20 @@ func ParseJobs(s string) (int, error) {
 	return n, nil
 }
 
-// ParseIntra validates an intra-run partition-count specification
-// (-intra / MHPC_INTRA): a positive integer, or "auto" for one
-// partition per CPU. Follows the same strict rules as ParseJobs —
-// zero, negative, and non-numeric values are errors, not fallbacks.
-func ParseIntra(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
+// IntraUsage is the help text of the retired -intra flag.
+const IntraUsage = "retired: only 1 is accepted (intra-run partitioning was removed; use -j)"
+
+// CheckIntra validates the retired -intra flag. Intra-run
+// partitioning was removed, so every simulation runs on one sequential
+// engine. The flag is still parsed so that existing invocations with
+// its old default, 1, keep working. Any other value is an error that
+// points to -j, the across-run parallelism.
+func CheckIntra(s string) error {
+	if s == "1" {
+		return nil
 	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf(
-			"invalid intra-run partition count %q: want a positive integer or \"auto\" (one per CPU)", s)
-	}
-	return n, nil
+	return fmt.Errorf("invalid -intra %q: intra-run partitioning was removed and only 1 is accepted; "+
+		"use -j N to run experiments in parallel", s)
 }
 
 // PositiveInt rejects a non-positive integer flag value: the returned

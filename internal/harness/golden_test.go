@@ -53,87 +53,72 @@ func diffLine(t *testing.T, got, want string) {
 	t.Errorf("outputs diverge in length: got %d lines, want %d", len(gl), len(wl))
 }
 
-// goldenGrid is the jobs x intra matrix every golden test sweeps:
-// serial and parallel task pools crossed with sequential and
-// partitioned (conservative-PDES) engines. Intra partitioning is an
-// engine implementation detail, so all twelve cells must render the
-// same bytes the pre-rewrite sequential engine did. GOMAXPROCS is
-// appended when it differs from the fixed jobs values so the
-// one-worker-per-CPU configuration stays covered on larger machines.
-func goldenGrid() (jobs, intra []int) {
-	jobs = []int{1, 4}
+// goldenJobs is the worker-count grid every golden test sweeps: the
+// serial path and a parallel pool, plus GOMAXPROCS when it differs
+// from the fixed values so the one-worker-per-CPU configuration stays
+// covered on larger machines.
+func goldenJobs() []int {
+	jobs := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
 		jobs = append(jobs, p)
 	}
-	return jobs, []int{1, 2, 4}
+	return jobs
 }
 
 // The quick registry stream must match the pre-rewrite capture at
-// every jobs x intra cell of the grid.
+// every jobs value of the grid.
 func TestRunAllGoldenQuick(t *testing.T) {
 	want := readGolden(t, "golden-quick.txt")
-	jobsVals, intraVals := goldenGrid()
-	for _, jobs := range jobsVals {
-		for _, intra := range intraVals {
-			t.Run(fmt.Sprintf("jobs=%d/intra=%d", jobs, intra), func(t *testing.T) {
-				var out bytes.Buffer
-				if err := RunAll(&out, Options{Quick: true, Jobs: jobs, Intra: intra}); err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != want {
-					diffLine(t, out.String(), want)
-				}
-			})
-		}
-	}
-}
-
-// Attaching the full telemetry stack (collector + engine observer)
-// must not perturb a single byte of the stream at any grid cell:
-// observation is out-of-band by construction, including the PDES
-// window/stall counters the partitioned engine emits.
-func TestRunAllGoldenQuickTelemetry(t *testing.T) {
-	want := readGolden(t, "golden-quick.txt")
-	jobsVals, intraVals := goldenGrid()
-	for _, jobs := range jobsVals {
-		for _, intra := range intraVals {
-			t.Run(fmt.Sprintf("jobs=%d/intra=%d", jobs, intra), func(t *testing.T) {
-				c := obs.New()
-				obs.SetActive(c)
-				sim.SetDefaultObserver(obs.NewSimObserver(c))
-				var out bytes.Buffer
-				err := RunAll(&out, Options{Quick: true, Jobs: jobs, Intra: intra})
-				sim.SetDefaultObserver(nil)
-				obs.SetActive(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.String() != want {
-					diffLine(t, out.String(), want)
-				}
-			})
-		}
-	}
-}
-
-// The full-size registry (the paper's real node counts) against its
-// capture, with the sequential engine and with four PDES partitions.
-// Skipped in -short: the race wall runs the quick goldens; the
-// regular suite runs this one.
-func TestRunAllGoldenFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry golden runs in the regular (non-short) suite")
-	}
-	want := readGolden(t, "golden-full.txt")
-	for _, intra := range []int{1, 4} {
-		t.Run(fmt.Sprintf("intra=%d", intra), func(t *testing.T) {
+	for _, jobs := range goldenJobs() {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
 			var out bytes.Buffer
-			if err := RunAll(&out, Options{Jobs: 4, Intra: intra}); err != nil {
+			if err := RunAll(&out, Options{Quick: true, Jobs: jobs}); err != nil {
 				t.Fatal(err)
 			}
 			if out.String() != want {
 				diffLine(t, out.String(), want)
 			}
 		})
+	}
+}
+
+// Attaching the full telemetry stack (collector + engine observer)
+// must not perturb a single byte of the stream at any grid cell:
+// observation is out-of-band by construction.
+func TestRunAllGoldenQuickTelemetry(t *testing.T) {
+	want := readGolden(t, "golden-quick.txt")
+	for _, jobs := range goldenJobs() {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			c := obs.New()
+			obs.SetActive(c)
+			sim.SetDefaultObserver(obs.NewSimObserver(c))
+			var out bytes.Buffer
+			err := RunAll(&out, Options{Quick: true, Jobs: jobs})
+			sim.SetDefaultObserver(nil)
+			obs.SetActive(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != want {
+				diffLine(t, out.String(), want)
+			}
+		})
+	}
+}
+
+// The full-size registry (the paper's real node counts) against its
+// capture. Skipped in -short: the race wall runs the quick goldens;
+// the regular suite runs this one.
+func TestRunAllGoldenFull(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-registry golden runs in the regular (non-short) suite")
+	}
+	want := readGolden(t, "golden-full.txt")
+	var out bytes.Buffer
+	if err := RunAll(&out, Options{Jobs: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want {
+		diffLine(t, out.String(), want)
 	}
 }

@@ -107,6 +107,47 @@ func TestRecvWildcards(t *testing.T) {
 	}
 }
 
+// A wildcard-tag receive must not see collective traffic: rank 0
+// enters a Bcast (whose message reaches rank 1 first) and then sends a
+// point-to-point message, and rank 1's Recv(0, AnyTag) must take the
+// point-to-point one, leaving the Bcast message for rank 1's own Bcast.
+// Both matching paths are covered: the receive already posted when the
+// messages arrive (deliver), and the messages already pending when the
+// receive is posted (match).
+func TestAnyTagSkipsCollectiveTraffic(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		delay float64 // rank 1 computes this long before receiving
+	}{{"posted", 0}, {"pending", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			var got *Msg
+			var bcast any
+			Run(testCluster(2), 2, func(r *Rank) {
+				if r.ID() == 0 {
+					r.Bcast(0, "coll", 8)
+					r.Send(1, 7, "p2p", 8)
+					return
+				}
+				r.Compute(c.delay)
+				got = r.Recv(0, AnyTag)
+				if got.Tag != 7 {
+					// The wildcard stole the Bcast message; drain the
+					// point-to-point one so the run still terminates.
+					r.Recv(0, 7)
+					return
+				}
+				bcast = r.Bcast(0, nil, 8)
+			})
+			if got.Tag != 7 || got.Data != "p2p" {
+				t.Fatalf("Recv(0, AnyTag) got tag %d data %v, want the point-to-point message (tag 7)", got.Tag, got.Data)
+			}
+			if bcast != "coll" {
+				t.Errorf("Bcast on rank 1 = %v, want %q", bcast, "coll")
+			}
+		})
+	}
+}
+
 func TestTagMatchingSelective(t *testing.T) {
 	cl := testCluster(2)
 	var order []int
