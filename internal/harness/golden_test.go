@@ -56,7 +56,9 @@ func diffLine(t *testing.T, got, want string) {
 // goldenJobs is the worker-count grid every golden test sweeps: the
 // serial path and a parallel pool, plus GOMAXPROCS when it differs
 // from the fixed values so the one-worker-per-CPU configuration stays
-// covered on larger machines.
+// covered on larger machines. Cells are named jobs=N/intra=1: -intra 1
+// is the only value the retired flag still accepts, and it selects the
+// one sequential engine every cell runs on.
 func goldenJobs() []int {
 	jobs := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
@@ -70,7 +72,7 @@ func goldenJobs() []int {
 func TestRunAllGoldenQuick(t *testing.T) {
 	want := readGolden(t, "golden-quick.txt")
 	for _, jobs := range goldenJobs() {
-		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+		t.Run(fmt.Sprintf("jobs=%d/intra=1", jobs), func(t *testing.T) {
 			var out bytes.Buffer
 			if err := RunAll(&out, Options{Quick: true, Jobs: jobs}); err != nil {
 				t.Fatal(err)
@@ -88,7 +90,7 @@ func TestRunAllGoldenQuick(t *testing.T) {
 func TestRunAllGoldenQuickTelemetry(t *testing.T) {
 	want := readGolden(t, "golden-quick.txt")
 	for _, jobs := range goldenJobs() {
-		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+		t.Run(fmt.Sprintf("jobs=%d/intra=1", jobs), func(t *testing.T) {
 			c := obs.New()
 			obs.SetActive(c)
 			sim.SetDefaultObserver(obs.NewSimObserver(c))
@@ -114,11 +116,13 @@ func TestRunAllGoldenFull(t *testing.T) {
 		t.Skip("full-registry golden runs in the regular (non-short) suite")
 	}
 	want := readGolden(t, "golden-full.txt")
-	var out bytes.Buffer
-	if err := RunAll(&out, Options{Jobs: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != want {
-		diffLine(t, out.String(), want)
-	}
+	t.Run("intra=1", func(t *testing.T) {
+		var out bytes.Buffer
+		if err := RunAll(&out, Options{Jobs: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want {
+			diffLine(t, out.String(), want)
+		}
+	})
 }
